@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all vet build test race chaos obs exec reconcile systables serving check bench bench-all
+.PHONY: all vet build test race chaos obs exec reconcile systables serving perfbench check bench bench-all
 
 all: check
 
@@ -8,8 +8,10 @@ all: check
 # detector (the scan pipeline is concurrent; races are tier-1 failures).
 check: vet build test race
 
+# go vet, then gofmt: any file gofmt would change fails the build.
 vet:
 	$(GO) vet ./...
+	test -z "$$(gofmt -l .)"
 
 build:
 	$(GO) build ./...
@@ -92,6 +94,12 @@ serving:
 		| sed 's/"Output":"//; s/"$$//; s/\\t/ /g; s/\\n//' \
 		| awk '/^Benchmark/ && !/ns\/op/ {name=$$1; next} /ns\/op/ {if ($$0 ~ /^Benchmark/) print; else printf "%s %s\n", name, $$0}'
 	@echo "wrote BENCH_serving.json"
+
+# Benchmark-of-record tests: the perfbench module's unit tests and its
+# end-to-end oracle smoke run, in the offline environment perfbench/run.sh
+# builds with.
+perfbench:
+	cd perfbench && GOFLAGS=-mod=mod GOPROXY=off GOWORK=off $(GO) test -count=1 ./...
 
 # Fig-10 plus the ScanConcurrency sweep (cold/warm caches), with
 # allocation stats; the raw `go test -json` event stream is kept in

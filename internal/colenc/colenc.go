@@ -18,6 +18,12 @@ import (
 	"eon/internal/types"
 )
 
+// MaxBlockRows caps the rows of one encoded block. Decode rejects a
+// larger row count before it allocates anything, so a corrupt or hostile
+// block header cannot request more memory than a legal block holds. The
+// ROS writer never produces larger blocks, and Encode refuses them.
+const MaxBlockRows = 1 << 16
+
 // Encoding identifies a block encoding scheme.
 type Encoding uint8
 
@@ -269,6 +275,9 @@ func Encode(v *types.Vector, enc Encoding) []byte {
 	if enc == FOR && forWidth(v.Ints) > 56 {
 		enc = Plain
 	}
+	if v.Len() > MaxBlockRows {
+		panic(fmt.Sprintf("colenc: Encode of %d rows exceeds MaxBlockRows (%d)", v.Len(), MaxBlockRows))
+	}
 	w := &buf{}
 	w.byte(byte(enc))
 	w.uvarint(uint64(v.Len()))
@@ -293,10 +302,14 @@ func Encode(v *types.Vector, enc Encoding) []byte {
 func Decode(data []byte, t types.Type) (*types.Vector, error) {
 	r := &rd{b: data}
 	enc := Encoding(r.byte())
-	n := int(r.uvarint())
+	cnt := r.uvarint()
 	if r.err != nil {
 		return nil, r.err
 	}
+	if cnt > MaxBlockRows {
+		return nil, fmt.Errorf("colenc: block of %d rows exceeds %d: %w", cnt, MaxBlockRows, ErrCorrupt)
+	}
+	n := int(cnt)
 	nulls := readNulls(r, n)
 	v := types.NewVector(t, n)
 	v.Nulls = nulls
@@ -476,11 +489,14 @@ func encodeDict(w *buf, v *types.Vector) {
 }
 
 func decodeDict(r *rd, v *types.Vector, n int) {
-	dn := int(r.uvarint())
-	if r.err != nil || dn < 0 {
+	// Every entry takes at least its one-byte length, which bounds the
+	// dictionary by the bytes left.
+	cnt := r.uvarint()
+	if r.err != nil || cnt > uint64(len(r.b)-r.pos) {
 		r.err = ErrCorrupt
 		return
 	}
+	dn := int(cnt)
 	dict := make([]string, dn)
 	for i := range dict {
 		dict[i] = r.str()

@@ -1,6 +1,8 @@
 package colenc
 
 import (
+	"encoding/binary"
+	"errors"
 	"math/rand"
 	"sort"
 	"testing"
@@ -224,5 +226,30 @@ func TestDecodeCorrupt(t *testing.T) {
 func TestEncodingString(t *testing.T) {
 	if Plain.String() != "PLAIN" || FOR.String() != "FOR" {
 		t.Error("encoding names")
+	}
+}
+
+// TestDecodeHostileCounts feeds block headers whose counts once made
+// Decode allocate gigabytes (a fatal, unrecoverable out-of-memory) from
+// a few bytes. Each must come back as ErrCorrupt.
+func TestDecodeHostileCounts(t *testing.T) {
+	header := func(enc Encoding, rows uint64) []byte {
+		return binary.AppendUvarint([]byte{byte(enc)}, rows)
+	}
+	for _, tc := range []struct {
+		name string
+		data []byte
+		typ  types.Type
+	}{
+		{"3G rows", header(Plain, 3<<30), types.Int64},
+		{"rows one over cap", header(RLE, MaxBlockRows+1), types.Varchar},
+		{"rows wrap negative", header(Plain, 1<<63), types.Float64},
+		{"3G dictionary entries", binary.AppendUvarint(append(header(Dict, 1), 0), 3<<30), types.Varchar},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if _, err := Decode(tc.data, tc.typ); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("err = %v, want ErrCorrupt", err)
+			}
+		})
 	}
 }

@@ -202,20 +202,25 @@ func rowKey(buf []byte, b *types.Batch, i int, cols []int) []byte {
 	return buf
 }
 
-// Distinct removes duplicate rows (over all columns).
+// Distinct removes duplicate rows (over all columns). The vectorized
+// engine inserts each batch into one hashTable over every column and
+// keeps exactly the rows that insert a new key, so NULLs are equal to
+// each other and floats compare by bit pattern, as in the row engine.
 type Distinct struct {
 	input Operator
-	seen  map[string]struct{}
 	done  bool
 	Eng   Engine
 
-	seenInt  map[int64]struct{} // typed path: single Int64-physical column
-	seenNull bool
+	tbl  *hashTable
+	ids  []int32
+	keep []int
+
+	seen map[string]struct{} // row engine: encoded rows seen
 }
 
 // NewDistinct wraps input with duplicate elimination.
 func NewDistinct(input Operator) *Distinct {
-	return &Distinct{input: input, seen: map[string]struct{}{}}
+	return &Distinct{input: input}
 }
 
 // Schema implements Operator.
@@ -229,16 +234,14 @@ func (d *Distinct) Next() (*types.Batch, error) {
 	if d.Eng.Row {
 		return d.nextRow()
 	}
-	schema := d.input.Schema()
-	intKey := len(schema) == 1 && schema[0].Type.Physical() == types.Int64
-	if intKey && d.seenInt == nil {
-		d.seenInt = map[int64]struct{}{}
+	if d.tbl == nil {
+		schema := d.input.Schema()
+		keyTypes := make([]types.Type, len(schema))
+		for i, c := range schema {
+			keyTypes[i] = c.Type
+		}
+		d.tbl = newHashTable(keyTypes, 0)
 	}
-	allCols := make([]int, len(schema))
-	for i := range allCols {
-		allCols[i] = i
-	}
-	var key []byte
 	for {
 		b, sel, err := pullSel(d.input)
 		if err != nil {
@@ -248,35 +251,20 @@ func (d *Distinct) Next() (*types.Batch, error) {
 			d.done = true
 			return nil, nil
 		}
-		m := selLen(b, sel)
-		var keep []int
-		if intKey {
-			col := b.Cols[0]
-			for j := 0; j < m; j++ {
-				i := selRow(sel, j)
-				if col.IsNull(i) {
-					if !d.seenNull {
-						d.seenNull = true
-						keep = append(keep, i)
-					}
-					continue
-				}
-				v := col.Ints[i]
-				if _, ok := d.seenInt[v]; !ok {
-					d.seenInt[v] = struct{}{}
-					keep = append(keep, i)
-				}
-			}
-		} else {
-			for j := 0; j < m; j++ {
-				i := selRow(sel, j)
-				key = rowKey(key, b, i, allCols)
-				if _, ok := d.seen[string(key)]; !ok {
-					d.seen[string(key)] = struct{}{}
-					keep = append(keep, i)
-				}
+		next := int32(d.tbl.Len())
+		if d.ids, err = d.tbl.insert(b.Cols, sel, selLen(b, sel), d.ids); err != nil {
+			return nil, err
+		}
+		// New keys take ascending ids, so a row is new exactly when its
+		// id is the next one not yet handed out.
+		keep := d.keep[:0]
+		for j, id := range d.ids {
+			if id == next {
+				keep = append(keep, selRow(sel, j))
+				next++
 			}
 		}
+		d.keep = keep
 		if len(keep) > 0 {
 			return b.Gather(keep), nil
 		}
@@ -285,6 +273,9 @@ func (d *Distinct) Next() (*types.Batch, error) {
 
 // nextRow is the original row-engine path.
 func (d *Distinct) nextRow() (*types.Batch, error) {
+	if d.seen == nil {
+		d.seen = map[string]struct{}{}
+	}
 	allCols := make([]int, len(d.input.Schema()))
 	for i := range allCols {
 		allCols[i] = i

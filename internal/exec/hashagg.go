@@ -123,7 +123,7 @@ func (h *HashAggregate) Next() (*types.Batch, error) {
 		return h.nextRow()
 	}
 	// The spill path needs encoded key bytes per group (the run sort
-	// order), so it replaces the typed-map fast paths. Global aggregates
+	// order), so it replaces the shared hash table. Global aggregates
 	// (no keys) hold one group and never need it.
 	if h.Mem.Limited() && h.Spill != nil && len(h.keys) > 0 {
 		return h.nextSpill()
@@ -132,33 +132,29 @@ func (h *HashAggregate) Next() (*types.Batch, error) {
 }
 
 // nextVec is the vectorized aggregation path: key and argument
-// expressions evaluate densely over the upstream selection, group
-// indexes resolve through typed maps where the key shape allows, and
-// accumulation runs column-at-a-time per aggregate. Group output order
-// (first-seen) is identical to the row path.
+// expressions evaluate densely over the upstream selection, the batch's
+// group ids come from one hashTable insert, and accumulation runs
+// column-at-a-time per aggregate into one flat state array indexed
+// gid*len(aggs)+ai. Group output order (first-seen) is identical to the
+// row path.
 func (h *HashAggregate) nextVec() (*types.Batch, error) {
-	var keyRows []types.Row
-	var states [][]aggState
-	var keyBuf []byte
-
-	singleInt := len(h.keys) == 1 && h.keys[0].Type().Physical() == types.Int64
-	singleStr := len(h.keys) == 1 && h.keys[0].Type().Physical() == types.Varchar
-	var intGroups map[int64]int
-	var strGroups map[string]int
-	var groups map[string]int
-	nullGroup := -1
-	switch {
-	case singleInt:
-		intGroups = map[int64]int{}
-	case singleStr:
-		strGroups = map[string]int{}
-	default:
-		groups = map[string]int{}
+	nAggs := len(h.aggs)
+	var tbl *hashTable
+	var states []aggState
+	if len(h.keys) > 0 {
+		keyTypes := make([]types.Type, len(h.keys))
+		for i := range h.keys {
+			keyTypes[i] = h.schema[i].Type
+		}
+		tbl = newHashTable(keyTypes, 0)
+	} else {
+		// A global aggregate is one group, present even over no rows.
+		states = make([]aggState, nAggs)
 	}
-	allKeyCols := make([]int, len(h.keys))
-	for i := range allKeyCols {
-		allKeyCols[i] = i
-	}
+	keyVals := make([]*types.Vector, len(h.keys))
+	argVals := make([]*types.Vector, nAggs)
+	cntVals := make([]*types.Vector, nAggs)
+	var gids []int32
 
 	for {
 		b, sel, err := pullSel(h.input)
@@ -172,97 +168,34 @@ func (h *HashAggregate) nextVec() (*types.Batch, error) {
 		if m == 0 {
 			continue
 		}
-		keyVals := make([]*types.Vector, len(h.keys))
 		for i, k := range h.keys {
-			v, err := expr.EvalVec(k, b, sel, h.Eng.Stats)
-			if err != nil {
+			if keyVals[i], err = expr.EvalVec(k, b, sel, h.Eng.Stats); err != nil {
 				return nil, err
 			}
-			keyVals[i] = v
 		}
-		argVals := make([]*types.Vector, len(h.aggs))
-		cntVals := make([]*types.Vector, len(h.aggs))
 		for i, a := range h.aggs {
 			if a.Arg != nil {
-				v, err := expr.EvalVec(a.Arg, b, sel, h.Eng.Stats)
-				if err != nil {
+				if argVals[i], err = expr.EvalVec(a.Arg, b, sel, h.Eng.Stats); err != nil {
 					return nil, err
 				}
-				argVals[i] = v
 			}
 			if a.ArgCount != nil {
-				v, err := expr.EvalVec(a.ArgCount, b, sel, h.Eng.Stats)
-				if err != nil {
+				if cntVals[i], err = expr.EvalVec(a.ArgCount, b, sel, h.Eng.Stats); err != nil {
 					return nil, err
 				}
-				cntVals[i] = v
 			}
 		}
-		keyBatch := &types.Batch{Cols: keyVals}
 
-		// Resolve every row's group index for this batch.
-		gis := make([]int, m)
-		newGroup := func(j int) int {
-			gi := len(keyRows)
-			if len(h.keys) > 0 {
-				keyRows = append(keyRows, keyBatch.Row(j))
-			} else {
-				keyRows = append(keyRows, nil)
+		// Resolve every row's group id for this batch.
+		if tbl == nil {
+			gids = resize(gids, m)
+			clear(gids)
+		} else {
+			if gids, err = tbl.insert(keyVals, nil, m, gids); err != nil {
+				return nil, err
 			}
-			states = append(states, make([]aggState, len(h.aggs)))
-			return gi
-		}
-		switch {
-		case len(h.keys) == 0:
-			if len(states) == 0 {
-				newGroup(0)
-			}
-			// gis are all zero already.
-		case singleInt:
-			kv := keyVals[0]
-			ints := kv.Ints
-			for j := 0; j < m; j++ {
-				if kv.IsNull(j) {
-					if nullGroup < 0 {
-						nullGroup = newGroup(j)
-					}
-					gis[j] = nullGroup
-					continue
-				}
-				gi, ok := intGroups[ints[j]]
-				if !ok {
-					gi = newGroup(j)
-					intGroups[ints[j]] = gi
-				}
-				gis[j] = gi
-			}
-		case singleStr:
-			kv := keyVals[0]
-			strs := kv.Strs
-			for j := 0; j < m; j++ {
-				if kv.IsNull(j) {
-					if nullGroup < 0 {
-						nullGroup = newGroup(j)
-					}
-					gis[j] = nullGroup
-					continue
-				}
-				gi, ok := strGroups[strs[j]]
-				if !ok {
-					gi = newGroup(j)
-					strGroups[strs[j]] = gi
-				}
-				gis[j] = gi
-			}
-		default:
-			for j := 0; j < m; j++ {
-				keyBuf = rowKey(keyBuf, keyBatch, j, allKeyCols)
-				gi, ok := groups[string(keyBuf)]
-				if !ok {
-					gi = newGroup(j)
-					groups[string(keyBuf)] = gi
-				}
-				gis[j] = gi
+			if need := tbl.Len() * nAggs; need > len(states) {
+				states = reserve(states, need-len(states))[:need]
 			}
 		}
 
@@ -273,30 +206,30 @@ func (h *HashAggregate) nextVec() (*types.Batch, error) {
 			argv, cntv := argVals[ai], cntVals[ai]
 			switch a.Kind {
 			case AggCountStar:
-				for _, gi := range gis {
-					states[gi][ai].count++
+				for _, gi := range gids {
+					states[int(gi)*nAggs+ai].count++
 				}
 			case AggCount:
-				for j, gi := range gis {
+				for j, gi := range gids {
 					if !argv.IsNull(j) {
-						states[gi][ai].count++
+						states[int(gi)*nAggs+ai].count++
 					}
 				}
 			case AggSum, AggAvg:
 				if argv.Typ.Physical() == types.Float64 {
 					fs := argv.Floats
-					for j, gi := range gis {
+					for j, gi := range gids {
 						if argv.IsNull(j) {
 							continue
 						}
-						st := &states[gi][ai]
+						st := &states[int(gi)*nAggs+ai]
 						st.count++
 						st.sumF += fs[j]
 						st.init = true
 					}
 				} else {
 					is := argv.Ints // nil for non-numeric args, which sum as 0
-					for j, gi := range gis {
+					for j, gi := range gids {
 						if argv.IsNull(j) {
 							continue
 						}
@@ -304,7 +237,7 @@ func (h *HashAggregate) nextVec() (*types.Batch, error) {
 						if is != nil {
 							v = is[j]
 						}
-						st := &states[gi][ai]
+						st := &states[int(gi)*nAggs+ai]
 						st.count++
 						st.sumI += v
 						st.sumF += float64(v)
@@ -314,7 +247,7 @@ func (h *HashAggregate) nextVec() (*types.Batch, error) {
 			default:
 				// Min/Max and the merge kinds keep the Datum-based
 				// update, whose semantics are shared with the row path.
-				for j, gi := range gis {
+				for j, gi := range gids {
 					var arg, cnt types.Datum
 					if argv != nil {
 						arg = argv.Datum(j)
@@ -322,7 +255,7 @@ func (h *HashAggregate) nextVec() (*types.Batch, error) {
 					if cntv != nil {
 						cnt = cntv.Datum(j)
 					}
-					if err := states[gi][ai].update(a.Kind, arg, cnt); err != nil {
+					if err := states[int(gi)*nAggs+ai].update(a.Kind, arg, cnt); err != nil {
 						return nil, err
 					}
 				}
@@ -330,7 +263,32 @@ func (h *HashAggregate) nextVec() (*types.Batch, error) {
 		}
 	}
 
-	return h.assemble(keyRows, states)
+	// The key columns are the table's stored keys; the aggregate columns
+	// render from the flat state array.
+	nGroups := 1
+	var keyCols []*types.Vector
+	if tbl != nil {
+		nGroups, keyCols = tbl.Len(), tbl.keys
+	}
+	out := &types.Batch{Cols: append(make([]*types.Vector, 0, len(h.schema)), keyCols...)}
+	for _, col := range h.schema[len(keyCols):] {
+		out.Cols = append(out.Cols, types.NewVector(col.Type, nGroups))
+	}
+	for gi := 0; gi < nGroups; gi++ {
+		c := len(keyCols)
+		for ai, a := range h.aggs {
+			st := &states[gi*nAggs+ai]
+			if h.partial && a.Kind == AggAvg {
+				out.Cols[c].Append(types.NewFloat(st.avgSum()))
+				out.Cols[c+1].Append(types.NewInt(st.count))
+				c += 2
+				continue
+			}
+			out.Cols[c].Append(st.result(a))
+			c++
+		}
+	}
+	return out, nil
 }
 
 // assemble renders the accumulated groups in first-seen order, adding

@@ -5,9 +5,16 @@ import (
 )
 
 // HashJoin is an inner equi-join: the left (build) input is fully
-// materialized into a hash table keyed on the build columns, then the
-// right (probe) input streams through. The output schema is the left
-// schema followed by the right schema.
+// materialized, then the right (probe) input streams through. The
+// output schema is the left schema followed by the right schema. Rows
+// whose key has a NULL never match (SQL semantics), and key columns of
+// different physical classes match nothing.
+//
+// The vectorized build resolves every build row's key to a hashTable id
+// and lays the rows of each id out in CSR form: the build rows of id k
+// are rows[start[k]:start[k+1]], in build-row order. A probe batch is
+// looked up in one call, and each probe row emits its matches in that
+// order, so the output is identical to the row engine's.
 type HashJoin struct {
 	build     Operator
 	probe     Operator
@@ -23,11 +30,21 @@ type HashJoin struct {
 	Mem *MemGovernor
 
 	built    bool
-	table    map[string][]int // key -> build row indexes
-	tableInt map[int64][]int  // typed path: single Int64-physical key
-	intKey   bool
 	buildAll *types.Batch
 	charged  int64
+
+	// Vectorized engine: key ids and their build rows in CSR form.
+	tbl   *hashTable
+	start []int32
+	rows  []int32
+	// Per-probe-batch scratch, reused across batches.
+	keyCols           []*types.Vector
+	sel               []int
+	ids               []int32
+	leftIdx, rightIdx []int
+
+	// Row engine: encoded key -> build row indexes.
+	table map[string][]int
 }
 
 // NewHashJoin creates an inner hash join on build.cols == probe.cols.
@@ -49,48 +66,61 @@ func (h *HashJoin) buildTable() error {
 		return err
 	}
 	h.buildAll = all
-	// Batch bytes plus per-row hash-table entry overhead.
-	h.charged = BatchMemBytes(all) + 16*int64(all.NumRows())
-	h.Mem.Charge(h.charged)
-	// A single Int64-physical key pair hashes on the raw int64 instead
-	// of an encoded byte string. (Mismatched physical classes keep the
-	// tagged encoding, which correctly never matches across classes.)
-	h.intKey = !h.Eng.Row && len(h.buildKeys) == 1 &&
-		h.build.Schema()[h.buildKeys[0]].Type.Physical() == types.Int64 &&
-		h.probe.Schema()[h.probeKeys[0]].Type.Physical() == types.Int64
-	if h.intKey {
-		h.tableInt = make(map[int64][]int, all.NumRows())
-		col := all.Cols[h.buildKeys[0]]
-		for i := 0; i < all.NumRows(); i++ {
-			// SQL join semantics: NULL keys never match.
-			if col.IsNull(i) {
-				continue
-			}
-			h.tableInt[col.Ints[i]] = append(h.tableInt[col.Ints[i]], i)
-		}
-		h.built = true
+	h.built = true
+	if h.Eng.Row {
+		h.buildRowTable()
+		// Batch bytes plus per-row hash-table entry overhead.
+		h.charged = BatchMemBytes(all) + 16*int64(all.NumRows())
+		h.Mem.Charge(h.charged)
 		return nil
 	}
-	h.table = make(map[string][]int, all.NumRows())
-	var key []byte
-	for i := 0; i < all.NumRows(); i++ {
-		if anyNull(all, i, h.buildKeys) {
-			continue
-		}
-		key = rowKey(key, all, i, h.buildKeys)
-		h.table[string(key)] = append(h.table[string(key)], i)
+
+	cols := keyColumns(h.keyCols[:0], all, h.buildKeys)
+	var buf []int
+	sel := nonNullRows(cols, nil, all.NumRows(), &buf)
+	n := selLen(all, sel)
+	keyTypes := make([]types.Type, len(cols))
+	for c, v := range cols {
+		keyTypes[c] = v.Typ
 	}
-	h.built = true
+	h.tbl = newHashTable(keyTypes, n)
+	ids, err := h.tbl.insert(cols, sel, n, nil)
+	if err != nil {
+		return err
+	}
+	// Counting sort of the build rows by key id: count each id into
+	// start[id+1], prefix-sum so start[id] is the id's first position,
+	// fill (advancing start[id] as a cursor), then shift back.
+	nk := h.tbl.Len()
+	h.start = make([]int32, nk+1)
+	for _, id := range ids {
+		h.start[id+1]++
+	}
+	for k := 1; k <= nk; k++ {
+		h.start[k] += h.start[k-1]
+	}
+	h.rows = make([]int32, len(ids))
+	for j, id := range ids {
+		h.rows[h.start[id]] = int32(selRow(sel, j))
+		h.start[id]++
+	}
+	copy(h.start[1:], h.start[:nk])
+	h.start[0] = 0
+	// The table's scratch is sized to the whole build side; probe
+	// batches size their own.
+	h.tbl.hbuf, h.tbl.pend = nil, nil
+
+	h.charged = BatchMemBytes(all) + h.tbl.memBytes() + 4*int64(len(h.start)+len(h.rows))
+	h.Mem.Charge(h.charged)
 	return nil
 }
 
-func anyNull(b *types.Batch, i int, cols []int) bool {
-	for _, c := range cols {
-		if b.Cols[c].IsNull(i) {
-			return true
-		}
+// keyColumns returns the key columns of b, reusing buf.
+func keyColumns(buf []*types.Vector, b *types.Batch, keys []int) []*types.Vector {
+	for _, c := range keys {
+		buf = append(buf, b.Cols[c])
 	}
-	return false
+	return buf
 }
 
 // Next implements Operator.
@@ -100,7 +130,6 @@ func (h *HashJoin) Next() (*types.Batch, error) {
 			return nil, err
 		}
 	}
-	var key []byte
 	for {
 		var pb *types.Batch
 		var sel []int
@@ -116,31 +145,10 @@ func (h *HashJoin) Next() (*types.Batch, error) {
 			return nil, err
 		}
 		var leftIdx, rightIdx []int
-		m := selLen(pb, sel)
-		if h.intKey {
-			col := pb.Cols[h.probeKeys[0]]
-			for j := 0; j < m; j++ {
-				i := selRow(sel, j)
-				if col.IsNull(i) {
-					continue
-				}
-				for _, bi := range h.tableInt[col.Ints[i]] {
-					leftIdx = append(leftIdx, bi)
-					rightIdx = append(rightIdx, i)
-				}
-			}
+		if h.Eng.Row {
+			leftIdx, rightIdx = h.probeRow(pb)
 		} else {
-			for j := 0; j < m; j++ {
-				i := selRow(sel, j)
-				if anyNull(pb, i, h.probeKeys) {
-					continue
-				}
-				key = rowKey(key, pb, i, h.probeKeys)
-				for _, bi := range h.table[string(key)] {
-					leftIdx = append(leftIdx, bi)
-					rightIdx = append(rightIdx, i)
-				}
-			}
+			leftIdx, rightIdx = h.probeVec(pb, sel)
 		}
 		if len(leftIdx) == 0 {
 			continue
@@ -150,4 +158,75 @@ func (h *HashJoin) Next() (*types.Batch, error) {
 		out := &types.Batch{Cols: append(left.Cols, right.Cols...)}
 		return out, nil
 	}
+}
+
+// probeVec looks up one probe batch and returns the matching build and
+// probe row indexes, in probe-row order and build-row order within a
+// probe row. The returned slices are reused by the next call.
+func (h *HashJoin) probeVec(pb *types.Batch, sel []int) (leftIdx, rightIdx []int) {
+	h.keyCols = keyColumns(h.keyCols[:0], pb, h.probeKeys)
+	sel = nonNullRows(h.keyCols, sel, selLen(pb, sel), &h.sel)
+	n := selLen(pb, sel)
+	h.ids = h.tbl.find(h.keyCols, sel, n, h.ids)
+	total := 0
+	for _, id := range h.ids {
+		if id >= 0 {
+			total += int(h.start[id+1] - h.start[id])
+		}
+	}
+	if cap(h.leftIdx) < total {
+		h.leftIdx = make([]int, 0, total)
+		h.rightIdx = make([]int, 0, total)
+	}
+	leftIdx, rightIdx = h.leftIdx[:0], h.rightIdx[:0]
+	for j, id := range h.ids {
+		if id < 0 {
+			continue
+		}
+		i := selRow(sel, j)
+		for _, bi := range h.rows[h.start[id]:h.start[id+1]] {
+			leftIdx = append(leftIdx, int(bi))
+			rightIdx = append(rightIdx, i)
+		}
+	}
+	return leftIdx, rightIdx
+}
+
+// buildRowTable builds the row engine's table over encoded keys.
+func (h *HashJoin) buildRowTable() {
+	all := h.buildAll
+	h.table = make(map[string][]int, all.NumRows())
+	var key []byte
+	for i := 0; i < all.NumRows(); i++ {
+		if anyNull(all, i, h.buildKeys) {
+			continue
+		}
+		key = rowKey(key, all, i, h.buildKeys)
+		h.table[string(key)] = append(h.table[string(key)], i)
+	}
+}
+
+// probeRow is the row engine's probe of one batch.
+func (h *HashJoin) probeRow(pb *types.Batch) (leftIdx, rightIdx []int) {
+	var key []byte
+	for i := 0; i < pb.NumRows(); i++ {
+		if anyNull(pb, i, h.probeKeys) {
+			continue
+		}
+		key = rowKey(key, pb, i, h.probeKeys)
+		for _, bi := range h.table[string(key)] {
+			leftIdx = append(leftIdx, bi)
+			rightIdx = append(rightIdx, i)
+		}
+	}
+	return leftIdx, rightIdx
+}
+
+func anyNull(b *types.Batch, i int, cols []int) bool {
+	for _, c := range cols {
+		if b.Cols[c].IsNull(i) {
+			return true
+		}
+	}
+	return false
 }

@@ -266,4 +266,3 @@ func (h *Histogram) Snapshot() HistStats {
 		P99:   h.Quantile(0.99),
 	}
 }
-

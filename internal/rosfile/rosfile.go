@@ -116,7 +116,8 @@ func readDatum(b []byte, pos int, t types.Type) (types.Datum, int, error) {
 
 // WriteOptions controls column file construction.
 type WriteOptions struct {
-	// BlockRows is the tuples-per-block target (default DefaultBlockRows).
+	// BlockRows is the tuples-per-block target (default DefaultBlockRows,
+	// at most colenc.MaxBlockRows).
 	BlockRows int
 	// Sorted tells the encoder the column is in sort order, steering it
 	// toward RLE/delta encodings.
@@ -133,6 +134,7 @@ func WriteColumn(v *types.Vector, opts WriteOptions) []byte {
 	if blockRows <= 0 {
 		blockRows = DefaultBlockRows
 	}
+	blockRows = min(blockRows, colenc.MaxBlockRows)
 	var out []byte
 	var blocks []BlockMeta
 	n := v.Len()
@@ -225,6 +227,11 @@ func decodeFooter(b []byte) (Footer, error) {
 		return f, ErrCorrupt
 	}
 	pos += n
+	// Every block entry takes several bytes, which bounds the count by
+	// the bytes left.
+	if cnt > uint64(len(b)-pos) {
+		return f, ErrCorrupt
+	}
 	f.Blocks = make([]BlockMeta, 0, cnt)
 	for i := uint64(0); i < cnt; i++ {
 		var blk BlockMeta
@@ -290,15 +297,37 @@ func (r *Reader) ReadBlock(i int) (*types.Vector, error) {
 		return nil, fmt.Errorf("rosfile: block %d out of range", i)
 	}
 	blk := r.footer.Blocks[i]
-	if blk.Offset < 0 || blk.Offset+blk.Length > int64(len(r.data)) {
-		return nil, ErrCorrupt
+	if blk.Offset < 0 || blk.Length < 0 || blk.Offset > int64(len(r.data)) ||
+		blk.Length > int64(len(r.data))-blk.Offset {
+		return nil, fmt.Errorf("rosfile: block %d spans [%d, +%d) of %d bytes: %w",
+			i, blk.Offset, blk.Length, len(r.data), ErrCorrupt)
 	}
-	return colenc.Decode(r.data[blk.Offset:blk.Offset+blk.Length], r.footer.Type)
+	v, err := colenc.Decode(r.data[blk.Offset:blk.Offset+blk.Length], r.footer.Type)
+	if err != nil {
+		return nil, err
+	}
+	if int64(v.Len()) != blk.RowCount {
+		return nil, fmt.Errorf("rosfile: block %d holds %d rows, footer says %d: %w",
+			i, v.Len(), blk.RowCount, ErrCorrupt)
+	}
+	return v, nil
 }
 
-// ReadAll decodes the entire column into one vector.
+// ReadAll decodes the entire column into one vector. It pre-sizes the
+// vector only once the footer's row count agrees with its blocks, each
+// of which ReadBlock checks against the rows it decodes.
 func (r *Reader) ReadAll() (*types.Vector, error) {
-	out := types.NewVector(r.footer.Type, int(r.footer.RowCount))
+	var sum int64
+	for _, blk := range r.footer.Blocks {
+		if blk.RowCount < 0 || blk.RowCount > colenc.MaxBlockRows {
+			return nil, ErrCorrupt
+		}
+		sum += blk.RowCount
+	}
+	if sum != r.footer.RowCount {
+		return nil, fmt.Errorf("rosfile: footer counts %d rows, blocks %d: %w", r.footer.RowCount, sum, ErrCorrupt)
+	}
+	out := types.NewVector(r.footer.Type, int(sum))
 	for i := range r.footer.Blocks {
 		v, err := r.ReadBlock(i)
 		if err != nil {

@@ -1,9 +1,13 @@
 package rosfile
 
 import (
+	"encoding/binary"
+	"errors"
+	"math"
 	"testing"
 	"testing/quick"
 
+	"eon/internal/colenc"
 	"eon/internal/types"
 )
 
@@ -261,5 +265,94 @@ func TestStringMinMaxInFooter(t *testing.T) {
 	blk := r.Footer().Blocks[0]
 	if blk.Min.S != "apple" || blk.Max.S != "zebra" {
 		t.Errorf("string min/max = %q/%q", blk.Min.S, blk.Max.S)
+	}
+}
+
+// withFooter re-encodes img (a column file with one or more blocks)
+// around a footer that edit has changed.
+func withFooter(t *testing.T, img []byte, edit func(f *Footer)) []byte {
+	t.Helper()
+	r, err := NewReader(img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := r.Footer()
+	f.Blocks = append([]BlockMeta(nil), f.Blocks...)
+	edit(&f)
+	flen := int(binary.LittleEndian.Uint32(img[len(img)-8:]))
+	out := append([]byte(nil), img[:len(img)-8-flen]...)
+	fb := encodeFooter(f)
+	out = append(out, fb...)
+	out = binary.LittleEndian.AppendUint32(out, uint32(len(fb)))
+	return binary.LittleEndian.AppendUint32(out, Magic)
+}
+
+// TestCorruptFooterIsError feeds footers that once crashed the reader
+// (a negative block length sliced out of range) or that claim more rows
+// than their bytes can hold. Each must come back as ErrCorrupt.
+func TestCorruptFooterIsError(t *testing.T) {
+	img := WriteColumn(intVec(1, 2, 3, 4, 5, 6, 7), WriteOptions{BlockRows: 3})
+	for _, tc := range []struct {
+		name string
+		edit func(f *Footer)
+		all  bool // ReadAll rather than ReadBlock(0) must fail
+	}{
+		{"negative length", func(f *Footer) { f.Blocks[0].Length = -1 }, false},
+		{"negative offset", func(f *Footer) { f.Blocks[0].Offset = -2 }, false},
+		{"offset past end", func(f *Footer) { f.Blocks[0].Offset = 1 << 40 }, false},
+		{"length overflows offset", func(f *Footer) { f.Blocks[0].Offset, f.Blocks[0].Length = 1, math.MaxInt64 }, false},
+		{"block rows disagree", func(f *Footer) { f.Blocks[0].RowCount = 4 }, false},
+		{"footer rows disagree", func(f *Footer) { f.RowCount = 3 << 30 }, true},
+		{"block rows over cap", func(f *Footer) {
+			f.Blocks[0].RowCount = colenc.MaxBlockRows + 1
+			f.RowCount += colenc.MaxBlockRows + 1 - 3
+		}, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r, err := NewReader(withFooter(t, img, tc.edit))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.all {
+				_, err = r.ReadAll()
+			} else {
+				_, err = r.ReadBlock(0)
+			}
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("err = %v, want ErrCorrupt", err)
+			}
+		})
+	}
+	// A block count no footer could hold is rejected before allocating.
+	huge := withFooter(t, img, func(f *Footer) { f.Blocks = nil })
+	flen := int(binary.LittleEndian.Uint32(huge[len(huge)-8:]))
+	fb := append([]byte(nil), huge[len(huge)-8-flen:len(huge)-8]...)
+	fb = binary.AppendUvarint(fb[:len(fb)-1], 1<<60)
+	bad := append(append([]byte(nil), huge[:len(huge)-8-flen]...), fb...)
+	bad = binary.LittleEndian.AppendUint32(bad, uint32(len(fb)))
+	bad = binary.LittleEndian.AppendUint32(bad, Magic)
+	if _, err := NewReader(bad); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("huge block count: err = %v, want ErrCorrupt", err)
+	}
+}
+
+// TestWriterEnforcesBlockCap checks that the writer never emits a block
+// the decoder would refuse.
+func TestWriterEnforcesBlockCap(t *testing.T) {
+	n := colenc.MaxBlockRows + 10
+	v := types.NewVector(types.Int64, n)
+	for i := 0; i < n; i++ {
+		v.Append(types.NewInt(int64(i)))
+	}
+	r, err := NewReader(WriteColumn(v, WriteOptions{BlockRows: 2 * n}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(r.Footer().Blocks) != 2 {
+		t.Fatalf("blocks = %d, want 2", len(r.Footer().Blocks))
+	}
+	all, err := r.ReadAll()
+	if err != nil || all.Len() != n {
+		t.Fatalf("ReadAll: %d rows, %v", all.Len(), err)
 	}
 }
